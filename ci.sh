@@ -2,8 +2,12 @@
 # Local CI gate: formatting, lints, build, and the full test suite.
 #
 #   ./ci.sh          # everything (what a PR must pass)
-#   ./ci.sh --quick  # skip the release build and the doc gate, debug tests
-#                    # only, and cut proptest case counts (PROPTEST_CASES=32)
+#   ./ci.sh --quick  # skip the release build, the doc gate and the release-
+#                    # only bench stages, debug tests only, and cut proptest
+#                    # case counts (PROPTEST_CASES=32)
+#
+# .github/workflows/ci.yml runs exactly these two modes; a stage is added
+# here and nowhere else.
 #
 # Lints are hard errors (-D warnings) so the tree stays clippy-clean.
 # Every stage prints its own wall-clock so CI-time regressions are
@@ -91,7 +95,7 @@ stage "cargo clippy (simkit, moneq libs) -- -D clippy::unwrap_used" \
 # builds on someone's machine but ducks the doc lint and the reader's map.
 # The vendored offline shims are exempt (they mirror external APIs).
 workspace_coverage() {
-    local vendored='crossbeam|parking_lot|proptest|criterion'
+    local vendored='crossbeam|parking_lot|proptest'
     local members crate ok=0
     members="$(cargo metadata --no-deps --format-version 1 --offline \
         | jq -r '.packages[].name')"
@@ -166,7 +170,7 @@ stage "tests: golden (conformance)" \
         --test golden_conformance --test scenario_golden \
         --test figure_shapes --test listing1_all_backends"
 
-# scenarios: the two catalog entry points (repro scenarios, scenario_sweep)
+# scenarios: the two catalog entry points (repro scenarios, sweep scenarios)
 # agree on replication seeds, and the examples' demonstration loops hold as
 # assertions instead of printouts.
 stage "tests: scenarios (seed agreement, example promotions)" \
@@ -188,14 +192,25 @@ else
         "cargo run -q -p envmon-bench --bin repro -- report > /dev/null"
 fi
 
+# pipebench is a Cargo workspace of its own (the repo's end-to-end
+# benchmark), so the root fmt, clippy and test stages never reach it.
+if [[ $quick -eq 0 ]]; then
+    stage "pipebench (fmt, clippy, release tests)" \
+        "cargo fmt --check --manifest-path pipebench/Cargo.toml &&
+         cargo clippy --manifest-path pipebench/Cargo.toml --all-targets -- -D warnings &&
+         cargo test --release --offline -q --manifest-path pipebench/Cargo.toml"
+else
+    skipped "--quick" "pipebench (fmt, clippy, release tests)"
+fi
+
 # Perf smoke: the telemetry layer's headline claim — enabling it costs
 # <10% wall clock at the paper's full-Mira fan-out — as a pass/fail gate,
 # not a recording. Release-only: debug wall clock says nothing about the
 # optimized hot path (quick mode skips the release build entirely).
 if [[ $quick -eq 0 ]]; then
     stage "perf smoke (telemetry overhead <10% @ 1536 agents)" \
-        "cargo run --release -q -p envmon-bench --bin telemetry_sweep -- \
-            --smoke --gate 10 --out target/telemetry_smoke.json"
+        "cargo run --release -q -p envmon-bench --bin sweep -- telemetry \
+            --smoke --out target/telemetry_smoke.json"
 else
     skipped "--quick" "perf smoke (telemetry overhead gate needs release)"
 fi
@@ -203,14 +218,14 @@ fi
 # Transport smoke: the wire layer's defining invariants — remote over the
 # ideal link byte-equals local, latency lands in the ledgers exactly,
 # faulty-run ledgers reconcile — asserted by the sweep binary itself.
-if [[ $quick -eq 0 ]]; then
+# Quick mode only: in full mode `sweep check` below runs the same
+# `transport --quick` sweep with the same asserts.
+if [[ $quick -eq 1 ]]; then
     stage "transport smoke (remote byte-identity + exact latency)" \
-        "cargo run --release -q -p envmon-bench --bin transport_sweep -- \
-            --smoke --out target/transport_smoke.json"
+        "cargo run -q -p envmon-bench --bin sweep -- transport \
+            --quick --out target/transport_smoke.json"
 else
-    stage "transport smoke (remote byte-identity + exact latency)" \
-        "cargo run -q -p envmon-bench --bin transport_sweep -- \
-            --smoke --out target/transport_smoke.json"
+    skipped "full" "transport smoke (sweep check runs it)"
 fi
 
 # Scenario smoke: the closed-loop catalog (DESIGN.md §16) with every
@@ -219,12 +234,35 @@ fi
 # mode caps each experiment at 2 replications; full runs the catalog's 5.
 if [[ $quick -eq 0 ]]; then
     stage "scenario smoke (closed-loop invariants, 5 reps)" \
-        "cargo run --release -q -p envmon-bench --bin scenario_sweep -- \
+        "cargo run --release -q -p envmon-bench --bin sweep -- scenarios \
             --out target/scenario_smoke.json"
 else
     stage "scenario smoke (closed-loop invariants, 2 reps)" \
-        "cargo run -q -p envmon-bench --bin scenario_sweep -- \
+        "cargo run -q -p envmon-bench --bin sweep -- scenarios \
             --quick --out target/scenario_smoke.json"
+fi
+
+# Memory/launch probe an order of magnitude past the paper's largest
+# machine: the full cluster sweep's last leg drives 1,048,576 agents
+# (BENCH_cluster.json's committed recording includes it). Release-only:
+# it needs the optimized build and several GB of RAM.
+if [[ $quick -eq 0 ]]; then
+    stage "cluster sweep at 1M agents (full sweep)" \
+        "cargo run --release -q -p envmon-bench --bin sweep -- cluster \
+            --out target/cluster_full.json"
+else
+    skipped "--quick" "cluster sweep at 1M agents (needs release)"
+fi
+
+# Bench gates: every sweep at --quick, its scale-free ratios and flags held
+# against the committed BENCH_*.json (the gates sit beside each sweep's
+# rows in crates/envmon-bench/src/bin/sweep/). Release-only: the ratios
+# are wall-clock ratios of the optimized build.
+if [[ $quick -eq 0 ]]; then
+    stage "bench gates (sweep check vs committed BENCH_*.json)" \
+        "cargo run --release -q -p envmon-bench --bin sweep -- check"
+else
+    skipped "--quick" "bench gates (sweep check needs release)"
 fi
 
 # Per-stage timing summary: the same numbers each stage already printed,

@@ -245,7 +245,7 @@ fn main() {
         // Closed-loop scenario catalog: `scenarios` runs all four
         // experiments, `exp1`..`exp4` select one. Seeds come from
         // `envmon_bench::replication_seed` — the same schedule the
-        // `scenario_sweep` bin uses, so summary lines here and BENCH
+        // `sweep scenarios` uses, so summary lines here and BENCH
         // rows there describe the same runs.
         let selected: Vec<_> = envmon_analysis::scenarios::CATALOG
             .iter()

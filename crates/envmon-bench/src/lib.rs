@@ -1,19 +1,19 @@
-//! # envmon-bench — benchmark harness and the `repro` binary
+//! # envmon-bench — the `repro` and `sweep` binaries
 //!
 //! * `cargo run -p envmon-bench --bin repro [--seed N] [experiment…]`
 //!   regenerates the paper's tables and figures as text (run with no
 //!   arguments for everything).
-//! * `cargo bench -p envmon-bench` runs the Criterion benches: one per
-//!   table/figure (`benches/experiments.rs`), the per-query access-path
-//!   costs (`benches/access_paths.rs`), and the ablations
-//!   (`benches/ablations.rs`).
+//! * `cargo run --release -p envmon-bench --bin sweep -- <name>` runs one
+//!   guarded bench (`cluster`, `cache`, `telemetry`, `accuracy`, `query`,
+//!   `transport`, `scenarios`) and writes `BENCH_<name>.json`;
+//!   `sweep check` holds fresh `--quick` runs against the committed files.
 //!
-//! The library part only hosts shared helpers for the benches.
+//! The library part only hosts the helpers both binaries share.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-/// Default seed used by the benches and the `repro` binary.
+/// Default seed used by the `sweep` and `repro` binaries.
 pub const DEFAULT_SEED: u64 = 2015;
 
 /// The sweeps' per-rank agent name, byte-identical to
@@ -38,8 +38,8 @@ pub fn agent_name(rank: usize) -> String {
 
 /// The one replication-seed schedule for the scenario catalog.
 ///
-/// Both entry points into the catalog — `repro scenarios` and the
-/// `scenario_sweep` bench bin — derive their per-replication seeds here,
+/// Both entry points into the catalog — `repro scenarios` and
+/// `sweep scenarios` — derive their per-replication seeds here,
 /// so a BENCH row and a repro summary line for the same `(exp, rep)` pair
 /// describe the *same* run (`tests/scenario_agreement.rs` pins this).
 /// FNV-1a over the experiment key, mixed with the replication index and
@@ -65,7 +65,7 @@ pub fn seed_for(exp: &str, rep: usize) -> u64 {
 /// golden files bake in. A non-default run seed perturbs every
 /// replication (mixed, not added, so nearby run seeds share nothing)
 /// while keeping the two entry points in agreement: `repro scenarios
-/// --seed N` and `scenario_sweep --seed N` still describe the same runs.
+/// --seed N` and `sweep scenarios --seed N` still describe the same runs.
 pub fn replication_seed(exp: &str, rep: usize, run_seed: u64) -> u64 {
     let base = seed_for(exp, rep);
     if run_seed == DEFAULT_SEED {

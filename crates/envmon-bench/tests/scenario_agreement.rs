@@ -1,5 +1,5 @@
 //! The two entry points into the scenario catalog — `repro scenarios`
-//! and the `scenario_sweep` bench bin — must describe the *same* runs:
+//! and `sweep scenarios` — must describe the *same* runs:
 //! both derive per-replication seeds from
 //! `envmon_bench::replication_seed`. This test runs both real binaries
 //! and checks their output against an in-process replication driven by
@@ -31,20 +31,20 @@ fn repro_prints_the_shared_schedule() {
 }
 
 #[test]
-fn scenario_sweep_emits_the_shared_schedule() {
+fn sweep_scenarios_emits_the_shared_schedule() {
     let expected_row = reference().json();
     let out_path = std::env::temp_dir().join(format!(
         "scenario_agreement_{}_BENCH.json",
         std::process::id()
     ));
-    let out = Command::new(env!("CARGO_BIN_EXE_scenario_sweep"))
-        .args(["--smoke", "--out"])
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args(["scenarios", "--smoke", "--out"])
         .arg(&out_path)
         .output()
-        .expect("run scenario_sweep");
+        .expect("run sweep scenarios");
     assert!(
         out.status.success(),
-        "scenario_sweep exited {:?}\nstderr:\n{}",
+        "sweep scenarios exited {:?}\nstderr:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );

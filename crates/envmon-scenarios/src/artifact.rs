@@ -6,7 +6,7 @@
 //! shortest-round-trip wobble), fields are emitted in declaration order,
 //! and nothing timestamps itself with wall-clock state. Same `(exp, rep,
 //! seed)` ⇒ same bytes, which is what the golden files and the
-//! determinism referee in `scenario_sweep` compare.
+//! determinism referee in `sweep scenarios` compare.
 
 /// One machine-checked invariant, evaluated per replication.
 #[derive(Clone, Debug)]

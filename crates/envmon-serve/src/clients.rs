@@ -12,7 +12,7 @@
 //! each client reads one retained view and its own RNG — running the
 //! same workload serially or on threads against a quiesced daemon yields
 //! bit-identical [`ClientReport`]s; `tests/serve_prop.rs` and the
-//! `query_sweep` bench both gate on that.
+//! `sweep query` bench both gate on that.
 
 use crate::query::{Published, Query, QueryFront};
 use simkit::fault::{FaultOutcome, FaultProcess, FaultSpec};

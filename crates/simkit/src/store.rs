@@ -10,7 +10,7 @@
 //! a tier reproduces, bit for bit, the fold [`SeriesData::aggregate_raw`]
 //! performs over the raw samples with the same bin width. That identity
 //! is the store's one load-bearing invariant; `tests/serve_prop.rs` and
-//! the `query_sweep` bench gate on it.
+//! the `sweep query` bench gate on it.
 //!
 //! Window semantics are **bin-granular**: a query window `[from, to)`
 //! widens to the enclosing bin boundaries (every bin whose start lies in

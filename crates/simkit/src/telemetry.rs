@@ -417,17 +417,6 @@ impl Telemetry {
         inner.counter_touched[i] = true;
     }
 
-    /// Record one observation into the named histogram (cold-path string
-    /// API; delegates through the intern table).
-    #[inline]
-    pub fn record(&mut self, name: &str, d: SimDuration) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = inner.intern_hist(name) as usize;
-        inner.hists[i].record(d);
-    }
-
     /// Fold a whole pre-built histogram into the named histogram (used to
     /// import per-link round-trip ledgers at finalize). Empty histograms
     /// are skipped so they do not intern a name that was never observed.
@@ -441,17 +430,6 @@ impl Telemetry {
         };
         let i = inner.intern_hist(name) as usize;
         inner.hists[i].merge(h);
-    }
-
-    /// Open a named span at simulated instant `at` (cold-path string API;
-    /// delegates through the intern table).
-    #[inline]
-    pub fn span_enter(&mut self, name: &str, at: SimTime) {
-        let Some(inner) = self.inner.as_deref_mut() else {
-            return;
-        };
-        let i = inner.intern_span(name);
-        inner.open.push((i, at));
     }
 
     /// Close the innermost open span at simulated instant `at`, folding its
@@ -664,9 +642,6 @@ mod tests {
         let mut t = Telemetry::disabled();
         assert!(!t.is_enabled());
         t.count("x", 3);
-        t.record("h", SimDuration::from_millis(1));
-        t.span_enter("s", SimTime::ZERO);
-        t.span_exit(SimTime::from_secs(1));
         let c = t.intern_counter("x");
         let h = t.intern_histogram("h");
         let s = t.intern_span("s");
@@ -691,8 +666,9 @@ mod tests {
 
     #[test]
     fn interned_ids_alias_the_string_api() {
-        // Both APIs must observe the same metric: a per-name report built
-        // through IDs is indistinguishable from one built through strings.
+        // Both APIs must observe the same metric: a report built through
+        // IDs is indistinguishable from one built through the string
+        // `count` and `merge_histogram`.
         let mut by_id = Telemetry::enabled();
         let polls = by_id.intern_counter("polls");
         let lat = by_id.intern_histogram("lat");
@@ -705,8 +681,11 @@ mod tests {
 
         let mut by_name = Telemetry::enabled();
         by_name.count("polls", 3);
-        by_name.record("lat", SimDuration::from_micros(7));
-        by_name.span_enter("s", SimTime::ZERO);
+        let mut h = LogHistogram::new();
+        h.record(SimDuration::from_micros(7));
+        by_name.merge_histogram("lat", &h);
+        let span_by_name = by_name.intern_span("s");
+        by_name.span_enter_id(span_by_name, SimTime::ZERO);
         by_name.span_exit(SimTime::from_secs(1));
 
         assert_eq!(by_id.report(), by_name.report());
@@ -779,7 +758,8 @@ mod tests {
         assert!(report.render().contains("[sum saturated]"));
         // An unsaturated report never mentions it.
         let mut t = Telemetry::enabled();
-        t.record("small", SimDuration::from_millis(1));
+        let small = t.intern_histogram("small");
+        t.record_id(small, SimDuration::from_millis(1));
         assert!(!t.report().render().contains("saturated"));
     }
 
@@ -833,11 +813,12 @@ mod tests {
     #[test]
     fn spans_nest_and_aggregate() {
         let mut t = Telemetry::enabled();
-        t.span_enter("session", SimTime::ZERO);
+        let [session, poll, child] = ["session", "poll", "poll/bgq-emon"].map(|n| t.intern_span(n));
+        t.span_enter_id(session, SimTime::ZERO);
         for k in 0..3u64 {
             let at = SimTime::from_secs(k);
-            t.span_enter("poll", at);
-            t.span_enter("poll/bgq-emon", at);
+            t.span_enter_id(poll, at);
+            t.span_enter_id(child, at);
             t.span_exit(at + SimDuration::from_micros(1_100));
             t.span_exit(at + SimDuration::from_millis(2));
         }
@@ -866,8 +847,9 @@ mod tests {
         let mk = |seed: u64| {
             let mut t = Telemetry::enabled();
             t.count("polls", seed);
-            t.record("lat", SimDuration::from_nanos(seed * 37));
-            t.span_enter("s", SimTime::ZERO);
+            let (lat, s) = (t.intern_histogram("lat"), t.intern_span("s"));
+            t.record_id(lat, SimDuration::from_nanos(seed * 37));
+            t.span_enter_id(s, SimTime::ZERO);
             t.span_exit(SimTime::from_nanos(seed));
             t.report()
         };
@@ -889,8 +871,12 @@ mod tests {
     fn render_mentions_every_section() {
         let mut t = Telemetry::enabled();
         t.count("polls", 2);
-        t.record("query_latency/x", SimDuration::from_millis(1));
-        t.span_enter("session", SimTime::ZERO);
+        let (lat, session) = (
+            t.intern_histogram("query_latency/x"),
+            t.intern_span("session"),
+        );
+        t.record_id(lat, SimDuration::from_millis(1));
+        t.span_enter_id(session, SimTime::ZERO);
         t.span_exit(SimTime::from_secs(1));
         let text = t.report().render();
         for needle in [
