@@ -107,7 +107,6 @@ pub fn run(seed: u64, mode: Mode) -> String {
     );
 
     Doc::new("cache_collection_sweep", seed)
-        .field("host_cpus", moneq::host_cpus())
         .field("reps", reps)
         .field("domain_size", 32)
         .rows("sweeps", rows)

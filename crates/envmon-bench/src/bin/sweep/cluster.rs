@@ -129,7 +129,6 @@ pub fn run(seed: u64, mode: Mode) -> String {
 
     Doc::new("cluster_parallel_sweep", seed)
         .field("workers", workers)
-        .field("host_cpus", moneq::host_cpus())
         .field("chunk_size", chunk)
         .rows("sweeps", rows)
         .field(

@@ -12,11 +12,13 @@ use std::fmt::Display;
 pub struct Doc(Vec<String>);
 
 impl Doc {
-    /// A document headed by `"bench"` and `"seed"`.
+    /// A document headed by `"bench"`, `"seed"` and the `"host_cpus"` it
+    /// ran on.
     pub fn new(bench: &str, seed: u64) -> Self {
         Doc(Vec::new())
             .field("bench", format_args!("\"{bench}\""))
             .field("seed", seed)
+            .field("host_cpus", moneq::host_cpus())
     }
 
     /// A member whose value is printed as is (a number, or `true`/`false`).
@@ -97,9 +99,13 @@ mod tests {
             .finish();
         assert_eq!(
             doc,
-            "{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"reps\": 3,\n  \"sweeps\": [\n    \
-             {\"name\": \"a\", \"x\": 1.25},\n    {\"name\": \"a\", \"x\": -0.50}\n  ],\n  \
-             \"all_x\": 1\n}\n"
+            format!(
+                "{{\n  \"bench\": \"demo\",\n  \"seed\": 7,\n  \"host_cpus\": {},\n  \
+                 \"reps\": 3,\n  \"sweeps\": [\n    \
+                 {{\"name\": \"a\", \"x\": 1.25}},\n    {{\"name\": \"a\", \"x\": -0.50}}\n  ],\n  \
+                 \"all_x\": 1\n}}\n",
+                moneq::host_cpus()
+            )
         );
         assert_eq!(values(&doc, "x"), [1.25, -0.5]);
         // A key only matches whole: `all_x` is not `x`.

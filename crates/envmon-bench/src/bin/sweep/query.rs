@@ -175,8 +175,5 @@ pub fn run(seed: u64, mode: Mode) -> String {
         );
     }
 
-    Doc::new("query_sweep", seed)
-        .field("host_cpus", moneq::host_cpus())
-        .rows("sweeps", rows)
-        .finish()
+    Doc::new("query_sweep", seed).rows("sweeps", rows).finish()
 }

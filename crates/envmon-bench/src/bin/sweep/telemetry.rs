@@ -6,6 +6,11 @@
 //! event, so the disabled runs must cost the same as the seed code and
 //! produce byte-identical output files.
 //!
+//! The off and on legs run interleaved, one pair per rep with the first
+//! leg alternating, and the overhead is the median of the pairs' on/off
+//! ratios: a host speed phase then slows both legs of a pair instead of
+//! every rep of one leg.
+//!
 //! `--smoke` runs the single full-Mira leg (1,536 agents) at full reps and
 //! fails if enabling telemetry costs more than 10 % wall clock: the CI
 //! perf-smoke stage.
@@ -14,9 +19,10 @@
 
 use crate::gate::{Gate, Read, Rule};
 use crate::json::{fixed, Doc, Obj};
-use crate::rig::{best_of, bgq_machine, bgq_run, card_round_robin, drive, records};
+use crate::rig::{bgq_machine, bgq_run, card_round_robin, drive, records};
 use crate::Mode;
 use moneq::{ClusterResult, MonEqConfig};
+use simkit::stats::quantile;
 
 /// The on/off wall ratio is compared, `1 + overhead_pct / 100`.
 pub const GATES: &[Gate] = &[Gate::new(
@@ -52,10 +58,10 @@ pub fn run(seed: u64, mode: Mode) -> String {
         Mode::Quick => &[(128, 4)],
         Mode::Full => &[(256, 8), (1_536, 4)],
     };
-    // The on/off *ratio* is the product here, and a single slow rep on
-    // either leg skews it by more than the claim under test; five reps keep
-    // the best-of minimum tight against ~±5% VM jitter everywhere except
-    // quick mode, where wall clock is not the point.
+    // The on/off *ratio* is the product here, and a single slow pair skews
+    // it by more than the claim under test; five pairs keep the median
+    // tight against ~±5% VM jitter everywhere except quick mode, where wall
+    // clock is not the point.
     let reps = if mode == Mode::Quick { 2 } else { 5 };
 
     // Sanity: enabling telemetry must not change a single output byte.
@@ -77,9 +83,22 @@ pub fn run(seed: u64, mode: Mode) -> String {
         let records = records(&result);
         let events: u64 = result.telemetry_merged().counters.values().sum();
         drop(result);
-        let off_ms = best_of(reps, || leg(seed, agents, virtual_secs, false).0);
-        let on_ms = best_of(reps, || leg(seed, agents, virtual_secs, true).0);
-        let overhead_pct = (on_ms / off_ms - 1.0) * 100.0;
+        let time = |telemetry| leg(seed, agents, virtual_secs, telemetry).0;
+        let pairs: Vec<(f64, f64)> = (0..reps)
+            .map(|rep| {
+                if rep % 2 == 0 {
+                    let off = time(false);
+                    (off, time(true))
+                } else {
+                    let on = time(true);
+                    (time(false), on)
+                }
+            })
+            .collect();
+        let off_ms = pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);
+        let on_ms = pairs.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);
+        let ratios: Vec<f64> = pairs.iter().map(|(off, on)| on / off).collect();
+        let overhead_pct = (quantile(&ratios, 0.5) - 1.0) * 100.0;
         eprintln!(
             "agents {agents:>6}  off {off_ms:>8.1} ms  on {on_ms:>8.1} ms  \
              overhead {overhead_pct:+.1}%  ({events} events)"
@@ -103,7 +122,6 @@ pub fn run(seed: u64, mode: Mode) -> String {
     }
 
     Doc::new("telemetry_overhead_sweep", seed)
-        .field("host_cpus", moneq::host_cpus())
         .field("reps", reps)
         .rows("sweeps", rows)
         .finish()

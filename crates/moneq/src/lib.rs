@@ -101,6 +101,6 @@ pub use overhead::{finalize_time, init_time, OverheadReport};
 pub use plan::{CollectionPlan, Deployment, SharedLookup, SharedRead, SharedReadCache};
 pub use reading::DataPoint;
 pub use records::{DataPointRef, Records};
-pub use remote::{BackendServer, RemoteBackend, RemoteMeta};
+pub use remote::RemoteBackend;
 pub use session::{FinalizeResult, MonEq, MonEqConfig};
 pub use tags::{TagEvent, TagKind};

@@ -2,25 +2,28 @@
 //! [`simkit::wire`] framed protocol.
 //!
 //! The paper's in-band/out-of-band axis made first-class: a
-//! [`RemoteBackend`] wraps any local backend behind a [`BackendServer`]
-//! and a [`Transport`], so every poll becomes a request/response exchange
-//! that pays serialize/flight/deserialize time on the virtual clock and
-//! is subject to the link's drop/corrupt/reorder weather. The defining
-//! invariant (asserted by the golden and property suites): over a
-//! zero-fault, zero-cost link ([`LinkSpec::ideal`]) a remote session is
-//! byte-identical to the local one — same records, same overhead ledger —
-//! and any nonzero link latency shows up *exactly* in the overhead and
-//! staleness ledgers, nowhere else.
+//! [`RemoteBackend`] wraps any local backend behind a [`SimTransport`], so
+//! every poll becomes a request/response exchange that pays
+//! serialize/flight/deserialize time on the virtual clock and is subject
+//! to the link's drop/corrupt/reorder weather. The defining invariant
+//! (asserted by the golden and property suites): over a zero-fault,
+//! zero-cost link ([`LinkSpec::ideal`]) a remote session is byte-identical
+//! to the local one — same records, same overhead ledger — and any nonzero
+//! link latency shows up *exactly* in the overhead and staleness ledgers,
+//! nowhere else.
 //!
-//! Protocol opcodes (responses echo the opcode with [`RESP_FLAG`] set and
-//! the same sequence number):
+//! One request kind crosses the wire (the response echoes it with
+//! [`RESP_FLAG`] set and the same sequence number):
 //!
 //! | kind | request payload | response payload |
 //! |------|-----------------|------------------|
-//! | [`REQ_META`] | empty | min_interval, poll_cost, cadence, replayable, records/poll |
 //! | [`REQ_READ`] | empty (poll instant = arrival time) | result tag + [`Poll`] or [`ReadError`] |
-//! | [`REQ_READ_MANY`] | agent count | result tag + polls or error |
-//! | [`REQ_GATE`] | empty | presence tag + [`GateStats`] counters |
+//!
+//! Everything else a session asks of a mechanism — cadence, costs,
+//! capabilities, limitations, gate counters — is a static fact or an
+//! in-process ledger that a deployment knows out of band, so
+//! [`RemoteBackend`] answers it from the wrapped backend and only polls pay
+//! the wire.
 //!
 //! Error mapping ([`WireError`] → [`ReadError`], DESIGN.md §14): a wire
 //! timeout becomes [`ReadError::Timeout`] carrying the exact accumulated
@@ -32,24 +35,20 @@ use crate::backend::{EnvBackend, GateStats, Poll, ReadError, StatedLimitation};
 use crate::reading::DataPoint;
 use powermodel::{Metric, Platform, Support};
 use simkit::rng::mix64;
-use simkit::wire::{
-    Frame, LinkSpec, LinkStats, SimTransport, Transport, WireError, WireReader, WireWriter,
-};
+use simkit::wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError, WireReader, WireWriter};
 use simkit::{SimDuration, SimTime};
 
-/// Request opcode: mechanism metadata (cadence, costs, replayability).
-pub const REQ_META: u8 = 0x01;
 /// Request opcode: one poll.
 pub const REQ_READ: u8 = 0x02;
-/// Request opcode: one batched poll serving several co-resident agents.
-pub const REQ_READ_MANY: u8 = 0x03;
-/// Request opcode: the backend's fault-gate decision counters.
-pub const REQ_GATE: u8 = 0x04;
 /// OR-ed into a request opcode to form its response opcode.
 pub const RESP_FLAG: u8 = 0x80;
 
-/// Encode one [`DataPoint`] into a payload (exact f64 bit patterns).
-pub fn encode_point(w: &mut WireWriter, p: &DataPoint) {
+/// Fewest payload bytes one encoded [`DataPoint`] takes: timestamp (8),
+/// two empty string prefixes (4 + 4), watts (8), three absent-option tags
+/// and the stale flag (1 each).
+const MIN_POINT_BYTES: usize = 28;
+
+fn encode_point(w: &mut WireWriter, p: &DataPoint) {
     w.u64(p.timestamp.as_nanos());
     w.str(&p.device);
     w.str(&p.domain);
@@ -60,8 +59,7 @@ pub fn encode_point(w: &mut WireWriter, p: &DataPoint) {
     w.bool(p.stale);
 }
 
-/// Decode one [`DataPoint`] written by [`encode_point`].
-pub fn decode_point(r: &mut WireReader<'_>) -> Result<DataPoint, WireError> {
+fn decode_point(r: &mut WireReader<'_>) -> Result<DataPoint, WireError> {
     Ok(DataPoint {
         timestamp: SimTime::from_nanos(r.u64()?),
         device: r.str()?.to_owned(),
@@ -74,7 +72,8 @@ pub fn decode_point(r: &mut WireReader<'_>) -> Result<DataPoint, WireError> {
     })
 }
 
-/// Encode one [`Poll`] (missing count + records).
+/// Encode one [`Poll`] (missing count + records; f64s as exact bit
+/// patterns).
 pub fn encode_poll(w: &mut WireWriter, poll: &Poll) {
     w.u32(poll.missing);
     w.u32(u32::try_from(poll.points.len()).expect("record count fits u32"));
@@ -86,9 +85,10 @@ pub fn encode_poll(w: &mut WireWriter, poll: &Poll) {
 /// Decode one [`Poll`] written by [`encode_poll`].
 pub fn decode_poll(r: &mut WireReader<'_>) -> Result<Poll, WireError> {
     let missing = r.u32()?;
-    let count = r.u32()?;
-    // Guarded preallocation: a corrupted count cannot OOM the decoder.
-    let mut points = Vec::with_capacity(count.min(4096) as usize);
+    let count = r.u32()? as usize;
+    // Preallocate only what the bytes left could hold: a corrupted count
+    // cannot make the decoder allocate more than its input justifies.
+    let mut points = Vec::with_capacity(count.min(r.remaining() / MIN_POINT_BYTES));
     for _ in 0..count {
         points.push(decode_point(r)?);
     }
@@ -127,224 +127,66 @@ pub fn decode_read_error(r: &mut WireReader<'_>) -> Result<ReadError, WireError>
     }
 }
 
-/// Mechanism metadata exchanged once at connect (the `REQ_META` reply).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RemoteMeta {
-    /// The mechanism's minimum reliable polling interval.
-    pub min_interval: SimDuration,
-    /// Its per-poll access-path cost (the server charges this as
-    /// processing time on every read exchange).
-    pub poll_cost: SimDuration,
-    /// Its update-grid cadence (drives the shared-read cache).
-    pub read_cadence: SimDuration,
-    /// Whether a stored poll may be replayed at the same instant.
-    pub replayable: bool,
-    /// Upper bound on records per poll.
-    pub records_per_poll: u32,
-}
-
-fn encode_meta(m: &RemoteMeta) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(m.min_interval.as_nanos());
-    w.u64(m.poll_cost.as_nanos());
-    w.u64(m.read_cadence.as_nanos());
-    w.bool(m.replayable);
-    w.u32(m.records_per_poll);
-    w.finish()
-}
-
-fn decode_meta(payload: &[u8]) -> Result<RemoteMeta, WireError> {
-    let mut r = WireReader::new(payload);
-    let m = RemoteMeta {
-        min_interval: SimDuration::from_nanos(r.u64()?),
-        poll_cost: SimDuration::from_nanos(r.u64()?),
-        read_cadence: SimDuration::from_nanos(r.u64()?),
-        replayable: r.bool()?,
-        records_per_poll: r.u32()?,
-    };
-    r.expect_end()?;
-    Ok(m)
-}
-
-fn encode_gate_stats(gs: Option<GateStats>) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    match gs {
-        None => w.u8(0),
-        Some(gs) => {
-            w.u8(1);
-            for (_, n) in gs.kinds() {
-                w.u64(n);
-            }
-        }
-    }
-    w.finish()
-}
-
-fn decode_gate_stats(payload: &[u8]) -> Result<Option<GateStats>, WireError> {
-    let mut r = WireReader::new(payload);
-    match r.u8()? {
-        0 => {
-            r.expect_end()?;
-            Ok(None)
-        }
-        1 => {
-            let gs = GateStats {
-                admitted: r.u64()?,
-                glitches: r.u64()?,
-                transient: r.u64()?,
-                timeout: r.u64()?,
-                no_data: r.u64()?,
-                blackout: r.u64()?,
-                dropped_records: r.u64()?,
-            };
-            r.expect_end()?;
-            Ok(Some(gs))
-        }
-        _ => Err(WireError::Malformed("gate-stats tag")),
-    }
-}
-
-/// The server side: the wrapped mechanism plus the request dispatcher.
+/// The server side: serve one `REQ_READ` frame arriving at virtual time
+/// `at` from `backend`.
 ///
-/// [`BackendServer::handle`] is the `serve` hook a [`Transport`] calls at
-/// each request's virtual arrival time. A frame that fails to decode
-/// (truncated, corrupted in flight, unknown opcode) is silently discarded
-/// — the client sees a timeout and retransmits, exactly like a real
-/// collection daemon dropping a bad datagram.
-pub struct BackendServer {
-    backend: Box<dyn EnvBackend>,
-}
-
-impl BackendServer {
-    /// Put a mechanism behind the protocol.
-    pub fn new(backend: Box<dyn EnvBackend>) -> Self {
-        BackendServer { backend }
+/// Returns the server's processing time (the mechanism's access-path
+/// cost) and the encoded response frame. A frame that fails to decode
+/// (truncated, corrupted in flight, unknown opcode, non-empty payload) is
+/// a [`WireError`]; the server drops it on the floor, so the client sees
+/// a timeout and retransmits, exactly like a real collection daemon
+/// dropping a bad datagram.
+pub fn serve_read(
+    backend: &mut dyn EnvBackend,
+    at: SimTime,
+    request: &[u8],
+) -> Result<(SimDuration, Vec<u8>), WireError> {
+    let frame = Frame::decode(request)?;
+    if frame.kind != REQ_READ {
+        return Err(WireError::Malformed("request kind"));
     }
-
-    /// The wrapped mechanism (control-plane access: name, platform,
-    /// capabilities — static facts that a deployment knows out of band).
-    pub fn backend(&self) -> &dyn EnvBackend {
-        self.backend.as_ref()
-    }
-
-    /// The mechanism's metadata as served by `REQ_META`.
-    pub fn meta(&self) -> RemoteMeta {
-        RemoteMeta {
-            min_interval: self.backend.min_interval(),
-            poll_cost: self.backend.poll_cost(),
-            read_cadence: self.backend.read_cadence(),
-            replayable: self.backend.replayable(),
-            records_per_poll: u32::try_from(self.backend.records_per_poll())
-                .expect("records_per_poll fits u32"),
+    WireReader::new(&frame.payload).expect_end()?;
+    let mut w = WireWriter::new();
+    // The poll instant is the frame's arrival time on the server clock: an
+    // ideal link reads at the client's own instant; a latent link reads
+    // later — that shift *is* the out-of-band staleness the ledgers must
+    // show.
+    match backend.read(at) {
+        Ok(poll) => {
+            w.u8(0);
+            encode_poll(&mut w, &poll);
+        }
+        Err(e) => {
+            w.u8(1);
+            encode_read_error(&mut w, &e);
         }
     }
-
-    /// Serve one request frame arriving at virtual time `at`. Returns the
-    /// server's processing time (the mechanism's access-path cost for
-    /// reads, zero for metadata) and the encoded response — or `None` for
-    /// an undecodable/unknown frame, which the server drops on the floor.
-    pub fn handle(&mut self, at: SimTime, bytes: &[u8]) -> Option<(SimDuration, Vec<u8>)> {
-        let frame = Frame::decode(bytes).ok()?;
-        let (proc, payload) = match frame.kind {
-            REQ_META => {
-                if !frame.payload.is_empty() {
-                    return None;
-                }
-                (SimDuration::ZERO, encode_meta(&self.meta()))
-            }
-            REQ_READ => {
-                if !frame.payload.is_empty() {
-                    return None;
-                }
-                let mut w = WireWriter::new();
-                // The poll instant is the frame's arrival time on the
-                // server clock: an ideal link reads at the client's own
-                // instant; a latent link reads later — that shift *is*
-                // the out-of-band staleness the ledgers must show.
-                match self.backend.read(at) {
-                    Ok(poll) => {
-                        w.u8(0);
-                        encode_poll(&mut w, &poll);
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        encode_read_error(&mut w, &e);
-                    }
-                }
-                (self.backend.poll_cost(), w.finish())
-            }
-            REQ_READ_MANY => {
-                let mut r = WireReader::new(&frame.payload);
-                let agents = r.u32().ok()?;
-                r.expect_end().ok()?;
-                let mut w = WireWriter::new();
-                match self.backend.read_many(at, agents as usize) {
-                    Ok(polls) => {
-                        w.u8(0);
-                        w.u32(u32::try_from(polls.len()).expect("poll count fits u32"));
-                        for p in &polls {
-                            encode_poll(&mut w, p);
-                        }
-                    }
-                    Err(e) => {
-                        w.u8(1);
-                        encode_read_error(&mut w, &e);
-                    }
-                }
-                (self.backend.batched_cost(agents as usize), w.finish())
-            }
-            REQ_GATE => {
-                if !frame.payload.is_empty() {
-                    return None;
-                }
-                (
-                    SimDuration::ZERO,
-                    encode_gate_stats(self.backend.gate_stats()),
-                )
-            }
-            _ => return None,
-        };
-        Some((
-            proc,
-            Frame::new(frame.kind | RESP_FLAG, frame.seq, payload).encode(),
-        ))
-    }
+    let reply = Frame::new(REQ_READ | RESP_FLAG, frame.seq, w.finish());
+    Ok((backend.poll_cost(), reply.encode()))
 }
 
-/// Placeholder backend used only while a slot's real backend is being
-/// wrapped in place (`std::mem::replace`). Never polled.
-struct NullBackend;
-
-impl EnvBackend for NullBackend {
-    fn name(&self) -> &'static str {
-        "null"
+/// The client side: decode the response frame to `REQ_READ` number `seq`.
+///
+/// The server's own [`ReadError`] passes through unchanged; a frame that
+/// fails to decode, answers another request, or carries a malformed
+/// payload is a retryable [`ReadError::Transient`].
+pub fn decode_read_reply(response: &[u8], seq: u64) -> Result<Poll, ReadError> {
+    let wire = |e: WireError| ReadError::Transient(format!("wire: read reply {e}"));
+    let frame = Frame::decode(response).map_err(wire)?;
+    if frame.kind != REQ_READ | RESP_FLAG || frame.seq != seq {
+        return Err(ReadError::Transient("wire: response mismatch".into()));
     }
-    fn platform(&self) -> Platform {
-        Platform::Rapl
-    }
-    fn min_interval(&self) -> SimDuration {
-        SimDuration::from_nanos(1)
-    }
-    fn poll_cost(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
-    fn capabilities(&self) -> Vec<(Metric, Support)> {
-        Vec::new()
-    }
-    fn read(&mut self, _t: SimTime) -> Result<Poll, ReadError> {
-        Err(ReadError::Unavailable("placeholder backend".into()))
-    }
-    fn records_per_poll(&self) -> usize {
-        0
-    }
+    let mut r = WireReader::new(&frame.payload);
+    let result = match r.u8().map_err(wire)? {
+        0 => Ok(decode_poll(&mut r).map_err(wire)?),
+        1 => Err(decode_read_error(&mut r).map_err(wire)?),
+        _ => return Err(wire(WireError::Malformed("result tag"))),
+    };
+    r.expect_end().map_err(wire)?;
+    result
 }
 
-/// A boxed placeholder for in-place backend swaps.
-pub(crate) fn null_backend() -> Box<dyn EnvBackend> {
-    Box::new(NullBackend)
-}
-
-/// A mechanism served over a [`Transport`].
+/// A mechanism served over a [`SimTransport`].
 ///
 /// Implements [`EnvBackend`] itself, so sessions, collection plans, the
 /// cadence cache, and telemetry all compose unchanged: a poll turns into
@@ -358,13 +200,12 @@ pub(crate) fn null_backend() -> Box<dyn EnvBackend> {
 /// (session-level retries redraw values but never double-charge, locally
 /// or remotely). Wire timeouts charge nothing here — their stall flows
 /// through [`ReadError::Timeout`] into the fault-recovery ledger instead.
-pub struct RemoteBackend<T: Transport = SimTransport> {
-    server: BackendServer,
-    transport: T,
-    meta: RemoteMeta,
+pub struct RemoteBackend {
+    inner: Box<dyn EnvBackend>,
+    transport: SimTransport,
     seq: u64,
-    /// Last RPC instant and its exchange count, keying fault draws the
-    /// same way [`crate::backend::FaultGate`] keys attempts: per
+    /// Last exchange instant and its exchange count, keying fault draws
+    /// the same way [`crate::backend::FaultGate`] keys attempts: per
     /// `(instant, index)`, order-independent across devices.
     rpc_at: Option<(SimTime, u32)>,
     /// When the previous exchange concluded. A client cannot transmit a
@@ -379,7 +220,7 @@ pub struct RemoteBackend<T: Transport = SimTransport> {
     cost: SimDuration,
 }
 
-impl RemoteBackend<SimTransport> {
+impl RemoteBackend {
     /// Serve `inner` over a fresh [`SimTransport`] on `link`.
     pub fn connect(inner: Box<dyn EnvBackend>, link: LinkSpec) -> Self {
         Self::connect_salted(inner, link, 0)
@@ -389,30 +230,9 @@ impl RemoteBackend<SimTransport> {
     /// the cluster salts by rank so every rank's link has independent
     /// weather from one shared [`LinkSpec`].
     pub fn connect_salted(inner: Box<dyn EnvBackend>, link: LinkSpec, salt: u64) -> Self {
-        Self::with_transport(inner, SimTransport::with_salt(link, salt))
-    }
-}
-
-impl<T: Transport> RemoteBackend<T> {
-    /// Serve `inner` over an arbitrary transport.
-    ///
-    /// The metadata hello (`REQ_META`) runs through the protocol against
-    /// the server directly — connect-time control traffic is not part of
-    /// the link's data-plane ledger, so it cannot pollute the round-trip
-    /// histogram or the byte-identity overhead accounting.
-    pub fn with_transport(inner: Box<dyn EnvBackend>, transport: T) -> Self {
-        let mut server = BackendServer::new(inner);
-        let hello = Frame::new(REQ_META, 0, Vec::new()).encode();
-        let (_, resp) = server
-            .handle(SimTime::ZERO, &hello)
-            .expect("metadata hello must decode");
-        let frame = Frame::decode(&resp).expect("metadata reply frames correctly");
-        assert_eq!(frame.kind, REQ_META | RESP_FLAG, "metadata reply opcode");
-        let meta = decode_meta(&frame.payload).expect("metadata reply decodes");
         RemoteBackend {
-            server,
-            transport,
-            meta,
+            inner,
+            transport: SimTransport::with_salt(link, salt),
             seq: 0,
             rpc_at: None,
             ready_at: SimTime::ZERO,
@@ -420,25 +240,31 @@ impl<T: Transport> RemoteBackend<T> {
             cost: SimDuration::ZERO,
         }
     }
+}
 
-    /// The link personality this backend is served over.
-    pub fn link(&self) -> &LinkSpec {
-        self.transport.spec()
+impl EnvBackend for RemoteBackend {
+    fn name(&self) -> &'static str {
+        self.inner.name()
     }
 
-    /// The exact transfer ledger so far.
-    pub fn link_stats(&self) -> &LinkStats {
-        self.transport.stats()
+    fn platform(&self) -> Platform {
+        self.inner.platform()
     }
 
-    /// The metadata the connect-time hello returned.
-    pub fn meta(&self) -> RemoteMeta {
-        self.meta
+    fn min_interval(&self) -> SimDuration {
+        self.inner.min_interval()
     }
 
-    /// One wire exchange at instant `t`: frames `payload` under `kind`,
-    /// runs it through the transport, validates the response envelope.
-    fn rpc(&mut self, kind: u8, t: SimTime, payload: Vec<u8>) -> Result<Vec<u8>, ReadError> {
+    fn poll_cost(&self) -> SimDuration {
+        self.inner.poll_cost()
+    }
+
+    fn capabilities(&self) -> Vec<(Metric, Support)> {
+        self.inner.capabilities()
+    }
+
+    /// One `REQ_READ` exchange at instant `t`.
+    fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
         let index = match self.rpc_at {
             Some((at, n)) if at == t => n + 1,
             _ => 0,
@@ -450,19 +276,19 @@ impl<T: Transport> RemoteBackend<T> {
         }
         self.seq += 1;
         let seq = self.seq;
-        let request = Frame::new(kind, seq, payload).encode();
+        let request = Frame::new(REQ_READ, seq, Vec::new()).encode();
         let key = mix64(t.as_nanos(), u64::from(index));
         // Serialize exchanges: a retry (or a poll whose predecessor
         // overran its slot) transmits when the line is free, not in the
         // past. On a clean link that never retries, send == t exactly.
         let send = if t > self.ready_at { t } else { self.ready_at };
         let RemoteBackend {
-            server, transport, ..
+            inner, transport, ..
         } = self;
         let outcome = transport.round_trip(key, send, &request, &mut |at, bytes| {
-            server.handle(at, bytes)
+            serve_read(inner.as_mut(), at, bytes).ok()
         });
-        let (done, resp) = match outcome {
+        let (done, response) = match outcome {
             Ok(ok) => ok,
             Err(WireError::Timeout { stalled }) => {
                 self.ready_at = send.saturating_add(stalled);
@@ -471,120 +297,31 @@ impl<T: Transport> RemoteBackend<T> {
             Err(other) => return Err(ReadError::Transient(format!("wire: {other}"))),
         };
         self.ready_at = done;
-        let frame = Frame::decode(&resp)
-            .map_err(|e| ReadError::Transient(format!("wire: response {e}")))?;
-        if frame.kind != kind | RESP_FLAG || frame.seq != seq {
-            return Err(ReadError::Transient("wire: response mismatch".into()));
-        }
         // One access-path charge per poll instant: the first completed
         // exchange sets it, session-level retries don't double-charge.
         if self.cost.is_zero() {
             self.cost = done.saturating_since(send);
         }
-        Ok(frame.payload)
-    }
-
-    /// Fetch the remote mechanism's gate counters over the wire (the
-    /// `REQ_GATE` exchange). [`EnvBackend::gate_stats`] serves the same
-    /// counters in-process — this is the data-plane path for callers that
-    /// want the protocol exercised (and charged) for real.
-    pub fn fetch_gate_stats(&mut self, t: SimTime) -> Result<Option<GateStats>, ReadError> {
-        let payload = self.rpc(REQ_GATE, t, Vec::new())?;
-        decode_gate_stats(&payload)
-            .map_err(|e| ReadError::Transient(format!("wire: gate stats {e}")))
-    }
-}
-
-fn decode_read_result(payload: &[u8]) -> Result<Poll, ReadError> {
-    let wire = |e: WireError| ReadError::Transient(format!("wire: read reply {e}"));
-    let mut r = WireReader::new(payload);
-    match r.u8().map_err(wire)? {
-        0 => {
-            let poll = decode_poll(&mut r).map_err(wire)?;
-            r.expect_end().map_err(wire)?;
-            Ok(poll)
-        }
-        1 => {
-            let e = decode_read_error(&mut r).map_err(wire)?;
-            r.expect_end().map_err(wire)?;
-            Err(e)
-        }
-        _ => Err(wire(WireError::Malformed("result tag"))),
-    }
-}
-
-impl<T: Transport + Send> EnvBackend for RemoteBackend<T> {
-    fn name(&self) -> &'static str {
-        self.server.backend.name()
-    }
-
-    fn platform(&self) -> Platform {
-        self.server.backend.platform()
-    }
-
-    fn min_interval(&self) -> SimDuration {
-        self.meta.min_interval
-    }
-
-    fn poll_cost(&self) -> SimDuration {
-        self.meta.poll_cost
-    }
-
-    fn capabilities(&self) -> Vec<(Metric, Support)> {
-        self.server.backend.capabilities()
-    }
-
-    fn read(&mut self, t: SimTime) -> Result<Poll, ReadError> {
-        let payload = self.rpc(REQ_READ, t, Vec::new())?;
-        decode_read_result(&payload)
+        decode_read_reply(&response, seq)
     }
 
     fn read_cadence(&self) -> SimDuration {
-        self.meta.read_cadence
+        self.inner.read_cadence()
     }
 
     fn replayable(&self) -> bool {
         // A stored poll replays bit-exactly only when the wire can neither
         // delay nor damage it: any link cost shifts served timestamps, any
         // fault process is per-attempt state.
-        self.meta.replayable && self.transport.spec().is_free()
-    }
-
-    fn read_many(&mut self, t: SimTime, agents: usize) -> Result<Vec<Poll>, ReadError> {
-        let mut w = WireWriter::new();
-        w.u32(u32::try_from(agents).expect("agent count fits u32"));
-        let payload = self.rpc(REQ_READ_MANY, t, w.finish())?;
-        let wire = |e: WireError| ReadError::Transient(format!("wire: read_many reply {e}"));
-        let mut r = WireReader::new(&payload);
-        match r.u8().map_err(wire)? {
-            0 => {
-                let count = r.u32().map_err(wire)?;
-                let mut polls = Vec::with_capacity(count.min(4096) as usize);
-                for _ in 0..count {
-                    polls.push(decode_poll(&mut r).map_err(wire)?);
-                }
-                r.expect_end().map_err(wire)?;
-                Ok(polls)
-            }
-            1 => {
-                let e = decode_read_error(&mut r).map_err(wire)?;
-                r.expect_end().map_err(wire)?;
-                Err(e)
-            }
-            _ => Err(wire(WireError::Malformed("result tag"))),
-        }
-    }
-
-    fn batched_cost(&self, agents: usize) -> SimDuration {
-        self.server.backend.batched_cost(agents)
+        self.inner.replayable() && self.transport.spec().is_free()
     }
 
     fn records_per_poll(&self) -> usize {
-        self.meta.records_per_poll as usize
+        self.inner.records_per_poll()
     }
 
     fn limitations(&self) -> Vec<StatedLimitation> {
-        let mut out = self.server.backend.limitations();
+        let mut out = self.inner.limitations();
         let spec = self.transport.spec();
         out.push(StatedLimitation::new(
             "deployment",
@@ -597,7 +334,7 @@ impl<T: Transport + Send> EnvBackend for RemoteBackend<T> {
     }
 
     fn gate_stats(&self) -> Option<GateStats> {
-        self.server.backend.gate_stats()
+        self.inner.gate_stats()
     }
 
     fn last_poll_cost(&self) -> SimDuration {
@@ -707,25 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn gate_stats_roundtrip_including_absent() {
-        for gs in [
-            None,
-            Some(GateStats::default()),
-            Some(GateStats {
-                admitted: 10,
-                glitches: 1,
-                transient: 2,
-                timeout: 3,
-                no_data: 4,
-                blackout: 5,
-                dropped_records: 6,
-            }),
-        ] {
-            assert_eq!(decode_gate_stats(&encode_gate_stats(gs)).unwrap(), gs);
-        }
-    }
-
-    #[test]
     fn ideal_link_read_matches_local_and_charges_poll_cost() {
         let t = SimTime::from_millis(560);
         let mut local = Bench::boxed(30);
@@ -742,9 +460,11 @@ mod tests {
     }
 
     #[test]
-    fn metadata_hello_mirrors_the_inner_backend() {
+    fn static_facts_mirror_the_inner_backend() {
         let remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
         assert_eq!(remote.name(), "bench");
+        assert_eq!(remote.poll_cost(), SimDuration::from_micros(30));
+        assert_eq!(remote.gate_stats(), None);
         assert_eq!(remote.min_interval(), SimDuration::from_millis(60));
         assert_eq!(remote.read_cadence(), SimDuration::from_millis(60));
         assert_eq!(remote.records_per_poll(), 2);
@@ -824,7 +544,7 @@ mod tests {
     }
 
     #[test]
-    fn read_many_roundtrips_over_the_wire() {
+    fn read_many_is_one_read_exchange() {
         let t = SimTime::from_millis(60);
         let mut local = Bench::boxed(30);
         let want = local.read_many(t, 4).unwrap();
@@ -834,32 +554,26 @@ mod tests {
         assert_eq!(got.len(), 4);
         // Batched charge: one access-path crossing for the whole batch.
         assert_eq!(remote.last_poll_cost(), SimDuration::from_micros(30));
+        assert_eq!(remote.batched_cost(4), SimDuration::from_micros(30));
+        assert_eq!(remote.wire_stats().unwrap().tx, 1);
     }
 
     #[test]
-    fn gate_stats_rpc_roundtrips() {
-        let mut remote = RemoteBackend::connect(Bench::boxed(30), LinkSpec::ideal());
-        // Bench has no gate: the RPC must carry the absence faithfully.
-        assert_eq!(
-            remote.fetch_gate_stats(SimTime::from_secs(1)).unwrap(),
-            None
-        );
-        assert_eq!(remote.gate_stats(), None);
-    }
-
-    #[test]
-    fn server_drops_malformed_and_unknown_frames() {
-        let mut server = BackendServer::new(Bench::boxed(30));
-        let t = SimTime::ZERO;
-        assert!(server.handle(t, b"not a frame").is_none());
+    fn server_rejects_malformed_and_unknown_frames() {
+        let mut inner = Bench::boxed(30);
+        let mut serve = |bytes: &[u8]| serve_read(inner.as_mut(), SimTime::ZERO, bytes);
+        assert_eq!(serve(b"not a frame"), Err(WireError::Truncated));
         let unknown = Frame::new(0x7F, 1, Vec::new()).encode();
-        assert!(server.handle(t, &unknown).is_none());
+        assert_eq!(serve(&unknown), Err(WireError::Malformed("request kind")));
         let mut bad = Frame::new(REQ_READ, 1, Vec::new()).encode();
         let n = bad.len();
         bad[n - 1] ^= 0xFF;
-        assert!(server.handle(t, &bad).is_none(), "checksum must be checked");
+        assert_eq!(serve(&bad), Err(WireError::BadChecksum));
         // Trailing payload on a bodyless request is rejected too.
         let junk = Frame::new(REQ_READ, 1, vec![9]).encode();
-        assert!(server.handle(t, &junk).is_none());
+        assert_eq!(serve(&junk), Err(WireError::Malformed("trailing bytes")));
+        let (_, reply) = serve(&Frame::new(REQ_READ, 7, Vec::new()).encode()).unwrap();
+        assert!(decode_read_reply(&reply, 7).is_ok());
+        assert!(decode_read_reply(&reply, 8).is_err(), "seq must match");
     }
 }

@@ -26,7 +26,7 @@ use crate::output::OutputFile;
 use crate::overhead::{finalize_time, init_time, OverheadReport, IO_STRIPE_WIDTH};
 use crate::plan::{SharedLookup, SharedRead, SharedReadCache};
 use crate::records::Records;
-use crate::remote::{null_backend, RemoteBackend};
+use crate::remote::RemoteBackend;
 use crate::tags::{TagEvent, TagKind};
 use simkit::wire::LinkSpec;
 use simkit::{CounterId, HistogramId, SamplingPolicy, SimDuration, SimTime, SpanId, Telemetry};
@@ -387,14 +387,14 @@ impl MonEq {
     /// [`Deployment::Remote`](crate::plan::Deployment::Remote); call it
     /// before any poll fires.
     pub fn deploy_remote(&mut self, link: LinkSpec) {
-        for slot in &mut self.slots {
-            let inner = std::mem::replace(&mut slot.backend, null_backend());
-            slot.backend = Box::new(RemoteBackend::connect_salted(
-                inner,
-                link,
-                u64::from(self.rank),
-            ));
-        }
+        let salt = u64::from(self.rank);
+        self.slots = std::mem::take(&mut self.slots)
+            .into_iter()
+            .map(|slot| Slot {
+                backend: Box::new(RemoteBackend::connect_salted(slot.backend, link, salt)),
+                ..slot
+            })
+            .collect();
     }
 
     /// Attach a control hook: after every timer fire, the hook sees the

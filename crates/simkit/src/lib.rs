@@ -75,4 +75,4 @@ pub use telemetry::{
     CounterId, HistogramId, LogHistogram, SpanId, SpanStats, Telemetry, TelemetryReport,
 };
 pub use time::{SimDuration, SimTime};
-pub use wire::{Frame, LinkSpec, LinkStats, SimTransport, Transport, WireError};
+pub use wire::{Frame, LinkSpec, LinkStats, SimTransport, WireError};

@@ -21,7 +21,9 @@
 //!
 //! Readers never block writers: series data lives behind per-series
 //! [`Arc`]s, the writer mutates through [`Arc::make_mut`], and
-//! [`TsStore::snapshot`] clones only the `Arc` spine. A snapshot is an
+//! [`TsStore::snapshot`] clones only the `Arc` spine. The name table and
+//! its hash index sit behind one more shared `Arc`, so a snapshot resolves
+//! a name with the same hashed lookup as the writer. A snapshot is an
 //! immutable, internally consistent view as of the publish instant; the
 //! writer's next mutation of a still-shared series pays one series clone
 //! (copy-on-write) and then appends in place until the next snapshot.
@@ -277,6 +279,8 @@ pub struct StoreStats {
     pub recorded: u64,
     /// Samples rejected because they predate their series' newest sample.
     pub rejected_late: u64,
+    /// Samples rejected because their value is NaN or infinite.
+    pub rejected_nonfinite: u64,
     /// Raw samples evicted from full rings (each was already folded into
     /// every tier's bins at ingest, so eviction loses no rolled-up data).
     pub raw_evicted: u64,
@@ -443,6 +447,20 @@ impl SeriesData {
     }
 }
 
+/// Series names in registration order plus the hash index over them,
+/// shared whole between the writer and its snapshots.
+#[derive(Clone, Debug, Default)]
+struct Names {
+    list: Vec<String>,
+    index: HashMap<String, u32>,
+}
+
+impl Names {
+    fn find(&self, name: &str) -> Option<SeriesId> {
+        self.index.get(name).map(|&i| SeriesId(i))
+    }
+}
+
 /// The writer half: an appendable store of named series.
 ///
 /// Single-writer by construction (`record` takes `&mut self`); readers
@@ -451,8 +469,7 @@ impl SeriesData {
 #[derive(Clone, Debug)]
 pub struct TsStore {
     cfg: StoreConfig,
-    names: Arc<Vec<String>>,
-    index: HashMap<String, u32>,
+    names: Arc<Names>,
     series: Vec<Arc<SeriesData>>,
     stats: StoreStats,
 }
@@ -466,8 +483,7 @@ impl TsStore {
         cfg.validate();
         TsStore {
             cfg,
-            names: Arc::new(Vec::new()),
-            index: HashMap::new(),
+            names: Arc::default(),
             series: Vec::new(),
             stats: StoreStats::default(),
         }
@@ -495,19 +511,20 @@ impl TsStore {
 
     /// The id for `name`, registering an empty series on first use.
     pub fn series(&mut self, name: &str) -> SeriesId {
-        if let Some(&i) = self.index.get(name) {
-            return SeriesId(i);
+        if let Some(id) = self.names.find(name) {
+            return id;
         }
         let i = u32::try_from(self.series.len()).expect("more than u32::MAX series");
-        Arc::make_mut(&mut self.names).push(name.to_owned());
-        self.index.insert(name.to_owned(), i);
+        let names = Arc::make_mut(&mut self.names);
+        names.list.push(name.to_owned());
+        names.index.insert(name.to_owned(), i);
         self.series.push(Arc::new(SeriesData::new(&self.cfg)));
         SeriesId(i)
     }
 
     /// Look up a series by name without registering it.
     pub fn find(&self, name: &str) -> Option<SeriesId> {
-        self.index.get(name).map(|&i| SeriesId(i))
+        self.names.find(name)
     }
 
     /// The name `id` was registered under.
@@ -515,7 +532,7 @@ impl TsStore {
     /// # Panics
     /// Panics if `id` came from a different store.
     pub fn name(&self, id: SeriesId) -> &str {
-        &self.names[id.index()]
+        &self.names.list[id.index()]
     }
 
     /// Read access to one series.
@@ -531,15 +548,18 @@ impl TsStore {
         (0..self.series.len()).map(|i| SeriesId(i as u32))
     }
 
-    /// Ingest one sample. Returns `false` (and counts `rejected_late`)
-    /// when `at` predates the series' newest sample; equal timestamps are
-    /// accepted. A rejected sample leaves the store untouched.
+    /// Ingest one sample. Returns `false` when `value` is not finite
+    /// (counting `rejected_nonfinite`) or `at` predates the series' newest
+    /// sample (counting `rejected_late`); equal timestamps are accepted. A
+    /// rejected sample leaves the series untouched.
     ///
     /// # Panics
-    /// Panics if `value` is not finite or `id` came from a different
-    /// store.
+    /// Panics if `id` came from a different store.
     pub fn record(&mut self, id: SeriesId, at: SimTime, value: f64) -> bool {
-        assert!(value.is_finite(), "store values must be finite");
+        if !value.is_finite() {
+            self.stats.rejected_nonfinite += 1;
+            return false;
+        }
         if self.series[id.index()].last.is_some_and(|l| at < l.at) {
             self.stats.rejected_late += 1;
             return false;
@@ -577,7 +597,7 @@ impl TsStore {
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
     at: SimTime,
-    names: Arc<Vec<String>>,
+    names: Arc<Names>,
     series: Vec<Arc<SeriesData>>,
     stats: StoreStats,
 }
@@ -605,12 +625,7 @@ impl StoreSnapshot {
 
     /// Look up a series by name.
     pub fn find(&self, name: &str) -> Option<SeriesId> {
-        // Snapshots carry no hash index; names are few and queries resolve
-        // ids once, so a linear scan keeps the publish path allocation-free.
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| SeriesId(i as u32))
+        self.names.find(name)
     }
 
     /// The name `id` was registered under.
@@ -618,7 +633,7 @@ impl StoreSnapshot {
     /// # Panics
     /// Panics if `id` came from a different store.
     pub fn name(&self, id: SeriesId) -> &str {
-        &self.names[id.index()]
+        &self.names.list[id.index()]
     }
 
     /// Read access to one series.
@@ -764,6 +779,25 @@ mod tests {
         assert_eq!(stats.recorded, 2);
         assert_eq!(stats.rejected_late, 1);
         assert_eq!(store.get(id).lifetime().count, 2);
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected_and_counted() {
+        let mut store = TsStore::new(tiny());
+        let id = store.series("a/dev/dom");
+        assert!(store.record(id, SimTime::from_secs(1), 1.0));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(!store.record(id, SimTime::from_secs(2), bad));
+        }
+        let stats = store.stats();
+        assert_eq!(stats.recorded, 1);
+        assert_eq!(stats.rejected_nonfinite, 3);
+        assert_eq!(stats.rejected_late, 0);
+        let series = store.get(id);
+        assert_eq!(series.lifetime().count, 1);
+        assert_eq!(series.last().map(|s| s.at), Some(SimTime::from_secs(1)));
+        // The series still accepts finite values at the rejected instant.
+        assert!(store.record(id, SimTime::from_secs(2), 2.0));
     }
 
     #[test]

@@ -535,34 +535,12 @@ impl LinkStats {
 /// to silently drop a malformed frame).
 pub type ServeFn<'a> = dyn FnMut(SimTime, &[u8]) -> Option<(SimDuration, Vec<u8>)> + 'a;
 
-/// A request/response transport on the virtual clock.
-///
-/// `serve` is the server side: it receives the request bytes at their
-/// virtual arrival time and returns `Some((processing_time, response))`,
-/// or `None` if it discards the frame (e.g. a checksum failure after
-/// in-flight corruption). `round_trip` returns the virtual completion
-/// time and the response bytes, or [`WireError::Timeout`] once every
-/// attempt is exhausted.
-pub trait Transport {
-    /// Execute one exchange starting at virtual time `t`. `key` must be
-    /// unique per logical request (e.g. `mix64(t, request_index)`), so
-    /// fault draws are order-independent across devices and retries.
-    fn round_trip(
-        &mut self,
-        key: u64,
-        t: SimTime,
-        request: &[u8],
-        serve: &mut ServeFn<'_>,
-    ) -> Result<(SimTime, Vec<u8>), WireError>;
+/// Leg index for fault draws: request leg.
+const LEG_REQ: u64 = 0;
+/// Leg index for fault draws: response leg.
+const LEG_RESP: u64 = 1;
 
-    /// The link personality this transport charges.
-    fn spec(&self) -> &LinkSpec;
-
-    /// The exact transfer ledger so far.
-    fn stats(&self) -> &LinkStats;
-}
-
-/// Deterministic simulated link implementing [`Transport`].
+/// A deterministic simulated request/response link on the virtual clock.
 ///
 /// Fault draws are indexed by `mix64(key, attempt·2 + leg)` on per-kind
 /// child streams — the same order-independent discipline as
@@ -606,15 +584,18 @@ impl SimTransport {
         }
         out
     }
-}
 
-/// Leg index for fault draws: request leg.
-const LEG_REQ: u64 = 0;
-/// Leg index for fault draws: response leg.
-const LEG_RESP: u64 = 1;
-
-impl Transport for SimTransport {
-    fn round_trip(
+    /// Execute one exchange starting at virtual time `t`.
+    ///
+    /// `serve` is the server side: it receives the request bytes at their
+    /// virtual arrival time and returns `Some((processing_time, response))`,
+    /// or `None` if it discards the frame (e.g. a checksum failure after
+    /// in-flight corruption). Returns the virtual completion time and the
+    /// response bytes, or [`WireError::Timeout`] once every attempt is
+    /// exhausted. `key` must be unique per logical request (e.g.
+    /// `mix64(t, request_index)`), so fault draws are order-independent
+    /// across devices and retries.
+    pub fn round_trip(
         &mut self,
         key: u64,
         t: SimTime,
@@ -691,11 +672,13 @@ impl Transport for SimTransport {
         Err(WireError::Timeout { stalled })
     }
 
-    fn spec(&self) -> &LinkSpec {
+    /// The link personality this transport charges.
+    pub fn spec(&self) -> &LinkSpec {
         &self.spec
     }
 
-    fn stats(&self) -> &LinkStats {
+    /// The exact transfer ledger so far.
+    pub fn stats(&self) -> &LinkStats {
         &self.stats
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the framed wire protocol and remote deployment
 //! (DESIGN.md §14).
 //!
-//! Three layers, three properties:
+//! Four layers, four properties:
 //!
 //! * **Framing** — `Frame` encode/decode round-trips arbitrary payloads,
 //!   and stream decode consumes exactly one frame.
@@ -10,15 +10,23 @@
 //!   flags, unicode device names, and every `f64` bit pattern short of
 //!   NaN (f64s travel as bit patterns, so even `-0.0` and subnormals
 //!   survive byte-exact).
+//! * **Totality** — every decoder of bytes off the wire (`Frame`
+//!   framing, the server's `REQ_READ` handler, the client's reply
+//!   decoder) answers arbitrary bytes, and every truncation or single-byte
+//!   flip of a valid `READ` request or response, with a typed error and
+//!   never a panic.
 //! * **Deployment** — a parallel `ClusterRun` of *remote* sessions is
 //!   byte-identical to a serial one: the wire layer must not introduce
 //!   any worker-pool-order dependence the local path doesn't have.
 
 use envmon::prelude::*;
-use moneq::remote::{decode_poll, decode_read_error, encode_poll, encode_read_error};
-use moneq::{ClusterResult, ClusterRun, DataPoint, Poll};
+use moneq::remote::{
+    decode_poll, decode_read_error, decode_read_reply, encode_poll, encode_read_error, serve_read,
+    REQ_READ, RESP_FLAG,
+};
+use moneq::{ClusterResult, ClusterRun, DataPoint, EnvBackend, Poll};
 use proptest::prelude::*;
-use simkit::wire::{Frame, WireReader, WireWriter};
+use simkit::wire::{Frame, WireError, WireReader, WireWriter};
 use std::sync::Arc;
 
 /// Any `f64` bit pattern except NaN (NaN breaks `==` comparison, not the
@@ -71,6 +79,58 @@ fn read_error() -> impl Strategy<Value = ReadError> {
         2 => ReadError::NoData,
         _ => ReadError::Unavailable(msg),
     })
+}
+
+/// A mechanism that answers every poll with one fixed result: the server
+/// end of the totality properties.
+struct Fixed(Result<Poll, ReadError>);
+
+impl EnvBackend for Fixed {
+    fn name(&self) -> &'static str {
+        "fixed"
+    }
+    fn platform(&self) -> powermodel::Platform {
+        powermodel::Platform::Rapl
+    }
+    fn min_interval(&self) -> SimDuration {
+        SimDuration::from_millis(1)
+    }
+    fn poll_cost(&self) -> SimDuration {
+        SimDuration::from_micros(3)
+    }
+    fn capabilities(&self) -> Vec<(powermodel::Metric, powermodel::Support)> {
+        Vec::new()
+    }
+    fn read(&mut self, _t: SimTime) -> Result<Poll, ReadError> {
+        self.0.clone()
+    }
+    fn records_per_poll(&self) -> usize {
+        self.0.as_ref().map_or(0, |p| p.points.len())
+    }
+}
+
+fn read_result() -> impl Strategy<Value = Result<Poll, ReadError>> {
+    (
+        any::<bool>(),
+        prop::collection::vec(point(), 0..6),
+        any::<u32>(),
+        read_error(),
+    )
+        .prop_map(|(ok, points, missing, e)| {
+            if ok {
+                Ok(Poll { points, missing })
+            } else {
+                Err(e)
+            }
+        })
+}
+
+/// A valid `REQ_READ` request frame and the server's valid response to it.
+fn read_exchange(seq: u64, result: Result<Poll, ReadError>) -> (Vec<u8>, Vec<u8>) {
+    let request = Frame::new(REQ_READ, seq, Vec::new()).encode();
+    let (_, response) =
+        serve_read(&mut Fixed(result), SimTime::ZERO, &request).expect("a valid request is served");
+    (request, response)
 }
 
 /// A BG/Q cluster with every session's backend deployed behind the given
@@ -177,6 +237,75 @@ proptest! {
         prop_assert_eq!(serial.dropped_records, parallel.dropped_records);
         for (s, p) in serial.files.iter().zip(&parallel.files) {
             prop_assert_eq!(s.render(), p.render());
+        }
+    }
+}
+
+proptest! {
+    /// Bytes off the wire, whatever they are, decode to a value or a typed
+    /// error. Both envelopes are tried: raw bytes (almost always stopped
+    /// by the framing) and arbitrary payloads inside a valid frame, which
+    /// reach the payload decoders past the checksum.
+    #[test]
+    fn arbitrary_bytes_decode_to_typed_errors(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+        seq in any::<u64>(),
+    ) {
+        let _ = Frame::decode_prefix(&bytes);
+        let mut server = Fixed(Ok(Poll { points: Vec::new(), missing: 0 }));
+        let _ = serve_read(&mut server, SimTime::ZERO, &bytes);
+        let _ = decode_read_reply(&bytes, seq);
+
+        let request = Frame::new(REQ_READ, seq, bytes.clone()).encode();
+        let served = serve_read(&mut server, SimTime::ZERO, &request);
+        if bytes.is_empty() {
+            prop_assert!(served.is_ok());
+        } else {
+            prop_assert_eq!(served, Err(WireError::Malformed("trailing bytes")));
+        }
+        let reply = Frame::new(REQ_READ | RESP_FLAG, seq, bytes).encode();
+        let _ = decode_read_reply(&reply, seq);
+    }
+
+    /// A valid `READ` exchange carries the mechanism's result exactly, and
+    /// every strict prefix and every single-byte flip of its request or
+    /// response is rejected with a typed error by the framing, the server
+    /// and the client alike. The FNV-1a checksum changes under any
+    /// one-byte change of the bytes it covers, and a flip in the length
+    /// field leaves the frame short or long.
+    #[test]
+    fn truncated_and_flipped_read_frames_are_typed_errors(
+        seq in any::<u64>(),
+        result in read_result(),
+        cut in any::<prop::sample::Index>(),
+        at in any::<prop::sample::Index>(),
+        mask in 1u8..=255,
+    ) {
+        let (request, response) = read_exchange(seq, result.clone());
+        prop_assert_eq!(decode_read_reply(&response, seq), result);
+        for frame in [&request, &response] {
+            let short = &frame[..cut.index(frame.len())];
+            prop_assert_eq!(Frame::decode_prefix(short), Err(WireError::Truncated));
+            let mut server = Fixed(Err(ReadError::NoData));
+            prop_assert_eq!(
+                serve_read(&mut server, SimTime::ZERO, short),
+                Err(WireError::Truncated)
+            );
+            prop_assert!(matches!(
+                decode_read_reply(short, seq),
+                Err(ReadError::Transient(_))
+            ));
+
+            let mut flipped = frame.clone();
+            flipped[at.index(frame.len())] ^= mask;
+            prop_assert!(Frame::decode(&flipped).is_err());
+            let original = Frame::decode(frame).unwrap();
+            prop_assert!(Frame::decode_prefix(&flipped).map_or(true, |(f, _)| f != original));
+            prop_assert!(serve_read(&mut server, SimTime::ZERO, &flipped).is_err());
+            prop_assert!(matches!(
+                decode_read_reply(&flipped, seq),
+                Err(ReadError::Transient(_))
+            ));
         }
     }
 }
